@@ -18,7 +18,9 @@ Entry points:
 
 Results are bit-identical between the two protocols (pinned by
 ``tests/test_overlap_cluster.py``); only the wall-clock schedule
-differs.
+differs.  Both runs use ``kernel="split"``: the default
+``kernel="auto"`` resolves the AA pipeline, whose steps skip the
+executed overlap.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ def run_overlap_benchmarks(sub_shape=SUB_SHAPE, arrangement=ARRANGEMENT,
                           ("cluster_step_overlapped", True)]:
         cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
                             tau=0.7, overlap=overlap, backend=backend,
-                            max_workers=MAX_WORKERS, wire=wire)
+                            max_workers=MAX_WORKERS, wire=wire,
+                            kernel="split")
         with CPUClusterLBM(cfg) as cluster:
             best, window = _best_step_s(cluster, steps, repeats)
             cells = cluster.cells_total()

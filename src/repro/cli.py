@@ -258,7 +258,9 @@ def _cmd_check_aa(args) -> int:
     reconstruction), runs on one distribution array (no back buffer) —
     on a fully periodic box AND a bounded inlet/outflow box — and the
     cluster drivers' forward/reverse halo protocol reproduces the
-    reference bits on the serial and processes backends."""
+    reference bits on the serial and processes backends, both with
+    ``kernel="aa"`` forced and with the default config, whose
+    ``kernel="auto"`` must resolve AA on every rank."""
     from repro.lbm.aa import run_aa_equivalence_check
 
     report = run_aa_equivalence_check(steps=args.steps)
@@ -274,6 +276,8 @@ def _cmd_check_aa(args) -> int:
                       f"kernel {row['kernel']:<9} "
                       f"layout {row.get('layout', 'soa'):<4} "
                       f"solid {row['solid_fraction']:.1%}")
+    for backend, rows in report["default"]["backends"].items():
+        print(f"  default config, backend {backend}: {rows[0]['reason']}")
     return 0
 
 
@@ -512,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-aa",
                         help="AA-pattern kernel equivalence gate on a "
                              "voxelized-city mask (single-domain + "
-                             "cluster forward/reverse halo protocol)")
+                             "cluster forward/reverse halo protocol, "
+                             "forced and auto-resolved)")
     sp.add_argument("--steps", type=int, default=4,
                     help="steps to compare (default 4, must be even)")
     sp = sub.add_parser("check-balance",

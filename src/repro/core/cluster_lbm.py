@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cpu_node import CPUNode
+from repro.core.cpu_node import CPUNode, aa_eligible
 from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
                                       weighted_cuts)
 from repro.core.gpu_node import GPUNode
@@ -143,11 +143,31 @@ class ClusterConfig:
         :class:`StepTiming`.  Results are bit-identical to
         ``overlap=False`` (the split collide visits the same cells with
         the same arithmetic, and the exchange touches only border/ghost
-        layers the inner pass never reads).
+        layers the inner pass never reads).  Executed overlap runs for
+        split, sparse and GPU ranks only: AA steps (forced, or resolved
+        from ``kernel="auto"``) always take the sequential collide ->
+        exchange -> finish protocol, because the in-place AA phases
+        gain nothing from the shell/core split and the overlapped AA
+        step measured about 4x slower (126-159 vs 34-37 ms/step on a
+        four-rank 64^3 periodic box, serial backend, 2-vCPU host).
     kernel / sparse_threshold / autotune:
-        Per-rank hot-path selection, forwarded to every CPU rank's
-        :class:`~repro.lbm.LBMSolver`.  Under the default ``"auto"``
-        each rank picks its own kernel; with ``autotune="measured"``
+        Hot-path selection for the CPU ranks.  Under the default
+        ``"auto"``, :class:`CPUClusterLBM` in numeric mode first takes
+        one cluster-wide decision: every rank runs the swap-free AA
+        pipeline when every rank's sub-domain is AA-eligible (plain
+        BGK, inlet/outflow handlers only) and no rank is sparse-worthy
+        (local solid fraction below
+        :data:`~repro.lbm.autotune.SPARSE_PROBE_MIN_FRACTION` under
+        ``autotune="measured"``, below ``sparse_threshold`` under
+        ``"heuristic"``).  AA moves 152 computed bytes per cell against
+        the phase-split path's 304, and the method is memory-bound
+        (Habich et al., arXiv:1112.0850): on a 2-vCPU host the
+        two-process 128x96x32 city went from 3.4 to 7.8-8.4 Mcells/s.  The
+        decision takes no probe; the driver exposes it as its
+        ``kernel`` attribute.  Otherwise (a sparse-worthy rank, a GPU
+        driver, ``timing_only``) ``"auto"`` is forwarded to every rank's
+        :class:`~repro.lbm.LBMSolver` and each rank picks its own
+        kernel; with ``autotune="measured"``
         (the cluster default) the choice comes from a short
         micro-benchmark of every eligible candidate on the rank's
         actual sub-domain (:mod:`repro.lbm.autotune`), while
@@ -155,7 +175,8 @@ class ClusterConfig:
         the sparse fluid-compacted kernel
         (:class:`~repro.lbm.SparseStepKernel`) when the *local* solid
         fraction reaches ``sparse_threshold``, the dense phase-split
-        path otherwise.  ``kernel="aa"`` forces the swap-free
+        path otherwise.  ``kernel="split"`` is the explicit escape
+        from the AA resolution.  ``kernel="aa"`` forces the swap-free
         AA-pattern kernel on every rank (CPU numeric ranks only; the
         driver plays the role of the kernel's ghost closure: forward
         halo exchange after even phases, reverse ghost scatter
@@ -357,6 +378,11 @@ class _ClusterLBMBase:
         self.switch = config.switch if config.switch is not None else GigabitSwitch()
         solids = (self.decomp.scatter_field(config.solid)
                   if config.solid is not None else [None] * self.decomp.n_nodes)
+        #: The one cluster-wide kernel decision, taken before any node
+        #: exists (see :meth:`_resolve_kernel`); every AA-specific path
+        #: (exchange mode, parity guards, overlap) reads this, never
+        #: ``config.kernel``.
+        self.kernel, self._kernel_reason = self._resolve_kernel(solids)
         self._proc_backend: ProcessBackend | None = None
         if config.backend == "processes":
             self._proc_backend = ProcessBackend(
@@ -406,6 +432,15 @@ class _ClusterLBMBase:
             return weighted_cuts(cost, config.arrangement, min_extent=2)
         return None
 
+    def _resolve_kernel(self, solids) -> tuple[str, str | None]:
+        """``(kernel, reason)`` every rank is built with.
+
+        The base rule forwards ``config.kernel`` unchanged (``reason``
+        None: each rank's solver explains its own selection);
+        :class:`CPUClusterLBM` may resolve ``"auto"`` cluster-wide.
+        """
+        return self.config.kernel, None
+
     def _worker_spec_args(self, rank: int, solid) -> dict:
         """The per-rank construction kwargs shipped to a worker process
         (everything :meth:`_make_node` would have used, minus the
@@ -429,7 +464,8 @@ class _ClusterLBMBase:
             "cpu_spec": cfg.cpu_spec,
             "gpu_spec": cfg.gpu_spec,
             "bus": cfg.bus,
-            "kernel": cfg.kernel,
+            "kernel": self.kernel,
+            "kernel_reason": self._kernel_reason,
             "sparse_threshold": cfg.sparse_threshold,
             "autotune": cfg.autotune,
             "wire": cfg.wire,
@@ -447,11 +483,11 @@ class _ClusterLBMBase:
         the concrete memory layout its distribution array currently
         has (``"soa"``/``"aos"`` — the autotuner's pick under
         ``layout="auto"``), the rank-local solid fraction, *why* the
-        kernel was selected (forced / heuristic threshold / measured
-        probe), for measured autotuning the probe's MLUPS per
-        (kernel, layout) candidate (None otherwise), and the rank's
-        block shape and cell count (unequal under weighted cuts — the
-        load balancer's output).
+        kernel was selected (forced / cluster-wide ``auto`` resolution
+        / heuristic threshold / measured probe), for measured
+        autotuning the probe's MLUPS per (kernel, layout) candidate
+        (None otherwise), and the rank's block shape and cell count
+        (unequal under weighted cuts — the load balancer's output).
         """
         return [{"rank": getattr(node, "rank", i),
                  "kernel": getattr(node, "kernel_used", "n/a"),
@@ -540,8 +576,9 @@ class _ClusterLBMBase:
         shut this driver down.  Returns ``(driver, info)`` where
         ``driver`` is ``self`` when the cuts are already optimal.
         ``info`` records old/new cuts and the measured imbalance that
-        drove the decision.  Under ``kernel="aa"`` only even step
-        parities can rebalance (canonical layout requirement).
+        drove the decision.  Under the AA kernel (forced, or resolved
+        from ``"auto"``) only even step parities can rebalance
+        (canonical layout requirement).
         """
         from dataclasses import replace
 
@@ -550,7 +587,7 @@ class _ClusterLBMBase:
         if self.config.timing_only:
             raise RuntimeError("rebalance needs numeric state; "
                                "timing_only drivers have none")
-        if self.config.kernel == "aa" and (self.time_step & 1):
+        if self.kernel == "aa" and (self.time_step & 1):
             raise ValueError(
                 "cannot rebalance at odd AA parity; step to an even "
                 "step count first")
@@ -728,11 +765,11 @@ class _ClusterLBMBase:
         ``wire="perface"`` keeps the legacy full-plane protocol.
         """
         cfg = self.config
-        reverse = cfg.kernel == "aa" and (self.time_step & 1)
+        reverse = self.kernel == "aa" and (self.time_step & 1)
         if cfg.wire == "merged":
             if reverse:
                 mode = "aa_reverse"
-            elif cfg.kernel == "aa":
+            elif self.kernel == "aa":
                 mode = "aa_forward"
             else:
                 mode = "pull"
@@ -937,8 +974,13 @@ class _ClusterLBMBase:
                                                ghosts[source][-direction])
 
     def _overlap_capable(self) -> bool:
-        """Whether this step may run the executed-overlap protocol."""
+        """Whether this step may run the executed-overlap protocol.
+
+        Never under the AA kernel, whose steps run sequentially (see
+        ``ClusterConfig.overlap`` for the measured reason).
+        """
         return (self.config.overlap
+                and self.kernel != "aa"
                 and not self.config.timing_only
                 and all(getattr(node, "overlap_safe", False)
                         for node in self.nodes))
@@ -1168,6 +1210,39 @@ class CPUClusterLBM(_ClusterLBMBase):
 
     node_kind = "cpu"
 
+    def _resolve_kernel(self, solids) -> tuple[str, str | None]:
+        """Resolve ``kernel="auto"`` to AA cluster-wide when it is safe.
+
+        In numeric mode, ``"auto"`` becomes ``"aa"`` on *every* rank
+        when every rank's configuration passes
+        :meth:`~repro.lbm.aa.AAStepKernel.eligible` and no rank is
+        sparse-worthy — i.e. per-rank selection could not pick the
+        sparse kernel for it: local solid fraction below
+        :data:`~repro.lbm.autotune.SPARSE_PROBE_MIN_FRACTION` under
+        ``autotune="measured"``, below ``sparse_threshold`` under
+        ``"heuristic"``.  AA moves half the computed bytes per cell of
+        the phase-split path and the decision needs no probe.
+        Otherwise every rank keeps its own per-rank selection.
+        """
+        cfg = self.config
+        if cfg.kernel != "auto" or cfg.timing_only:
+            return cfg.kernel, None
+        if not all(aa_eligible(**self._node_boundary_config(rank))
+                   for rank in range(self.decomp.n_nodes)):
+            return cfg.kernel, None
+        if cfg.autotune == "measured":
+            from repro.lbm.autotune import SPARSE_PROBE_MIN_FRACTION
+            limit, label = SPARSE_PROBE_MIN_FRACTION, "sparse probe floor"
+        else:
+            limit, label = cfg.sparse_threshold, "sparse_threshold"
+        peak = max(0.0 if s is None else float(np.asarray(s, bool).mean())
+                   for s in solids)
+        if peak >= limit:
+            return cfg.kernel, None
+        return "aa", (f"auto: cluster-wide AA (all {len(solids)} ranks "
+                      f"eligible, max rank solid fraction {peak:.3f} < "
+                      f"{label} {limit:g})")
+
     def _make_node(self, rank: int, solid):
         bc = self._node_boundary_config(rank)
         return CPUNode(rank, self.decomp.block_shape(rank), self.config.tau,
@@ -1179,10 +1254,11 @@ class CPUClusterLBM(_ClusterLBMBase):
                        use_sse=self.config.use_sse,
                        inlet=bc["inlet"], outflow=bc["outflow"],
                        force=self.config.force,
-                       kernel=self.config.kernel,
+                       kernel=self.kernel,
                        sparse_threshold=self.config.sparse_threshold,
                        autotune=self.config.autotune,
-                       layout=self.config.layout)
+                       layout=self.config.layout,
+                       kernel_reason=self._kernel_reason)
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.f.copy()
@@ -1190,12 +1266,13 @@ class CPUClusterLBM(_ClusterLBMBase):
     def load_global_distributions(self, f: np.ndarray) -> None:
         """Scatter a global distribution field to the nodes.
 
-        Under ``kernel="aa"`` the ranks hold the rotated mid-pair
-        layout at odd parity, so loading canonical distributions is
-        only defined on even step counts (same as the reference
-        solver's in-place layout after an even number of steps).
+        Under the AA kernel (forced, or resolved from ``"auto"``) the
+        ranks hold the rotated mid-pair layout at odd parity, so
+        loading canonical distributions is only defined on even step
+        counts (same as the reference solver's in-place layout after
+        an even number of steps).
         """
-        if self.config.kernel == "aa" and (self.time_step & 1):
+        if self.kernel == "aa" and (self.time_step & 1):
             raise ValueError(
                 "cannot load distributions at odd AA parity; step to an "
                 "even step count first")

@@ -321,10 +321,11 @@ def run_exchange_check(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
                        steps: int = 4) -> dict:
     """End-to-end merged-wire gate (``python -m repro check-exchange``).
 
-    * **Equivalence sweep**: the merged wire is bit-identical to the
-      single-domain reference on the serial, threads and processes
-      backends, with compression off *and* forced on, and the legacy
-      per-face wire still matches too;
+    * **Equivalence sweep**: the merged wire's pull exchange (the
+      phase-split kernel's, pinned with ``kernel="split"``) is
+      bit-identical to the single-domain reference on the serial,
+      threads and processes backends, with compression off *and*
+      forced on, and the legacy per-face wire still matches too;
     * **AA protocol**: the merged forward/reverse exchange of the
       AA-pattern kernel reproduces the reference bits on the serial
       and processes backends, on the periodic torus *and* on a bounded
@@ -374,7 +375,7 @@ def run_exchange_check(sub_shape=(6, 6, 4), arrangement=(2, 2, 1),
     for backend, wire, compression in variants:
         cfg = ClusterConfig(sub_shape=sub_shape, arrangement=arrangement,
                             tau=0.7, backend=backend, wire=wire,
-                            compression=compression,
+                            compression=compression, kernel="split",
                             max_workers=2 if backend == "threads" else 1)
         with CPUClusterLBM(cfg) as cluster:
             cluster.load_global_distributions(f0)

@@ -176,11 +176,23 @@ class AAStepKernel:
         this kernel (fill/fold, periodic or zero-gradient) or by a
         cluster driver (``aa_halo_managed``).
         """
+        return AAStepKernel.supports(type(solver.collision),
+                                     solver.boundaries)
+
+    @staticmethod
+    def supports(collision_cls: type, boundaries) -> bool:
+        """:meth:`eligible` on a configuration, before any solver exists.
+
+        ``collision_cls`` is the collision operator's class and
+        ``boundaries`` the handler list the solver would be built with;
+        the cluster drivers use this to resolve one kernel for every
+        rank before constructing a single node.
+        """
         from repro.lbm.collision import BGKCollision
         from repro.lbm.esoteric import boundaries_supported
-        if type(solver.collision) is not BGKCollision:
+        if collision_cls is not BGKCollision:
             return False
-        return boundaries_supported(solver.boundaries)
+        return boundaries_supported(boundaries)
 
     # -- region plumbing -------------------------------------------------
     @staticmethod
@@ -494,8 +506,16 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
     allocated).  Cluster: a uniform-AA 2x2x1 decomposition must
     reproduce the single-domain reference bit for bit on every
     requested backend, at both an odd (reconstructed gather) and even
-    step count.  Raises ``AssertionError`` on any violation; returns
-    ``{"occupancy", "cases": {case: {"backends": {backend: rows}}}}``.
+    step count.
+
+    ``default`` — the bounded box over a low-rise city mask (every rank
+    below the sparse probe floor) with *no* ``kernel`` argument: the
+    cluster's ``kernel="auto"`` must resolve AA on every rank and pass
+    the same odd/even cluster comparison.
+
+    Raises ``AssertionError`` on any violation; returns ``{"occupancy",
+    "cases": {case: {"backends": {backend: rows}}}, "default":
+    {"backends": {backend: rows}}}``.
     """
     from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
     from repro.lbm.lattice import D3Q19
@@ -505,9 +525,6 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
 
     solid = voxelize_city(times_square_like(seed=7), shape,
                           resolution_m=24.0, ground_layers=2)
-    rng = np.random.default_rng(seed)
-    u0 = (0.03 * rng.standard_normal((3,) + tuple(shape))).astype(np.float32)
-    u0[:, solid] = 0
     if steps % 2:
         raise ValueError("steps must be even (AA pairs steps)")
 
@@ -527,15 +544,54 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
                                 "inlet": inlet, "outflow": outflow}},
     }
 
-    def make(kernel, kwargs):
+    def make(kernel, kwargs, solid=solid):
         kw = dict(kwargs)
         bcs = kw.pop("boundaries", None)
-        s = LBMSolver(shape, tau=0.7, solid=solid, kernel=kernel,
+        dims = solid.shape
+        rng = np.random.default_rng(seed)
+        u0 = (0.03 * rng.standard_normal((3,) + dims)).astype(np.float32)
+        u0[:, solid] = 0
+        s = LBMSolver(dims, tau=0.7, solid=solid, kernel=kernel,
                       boundaries=bcs() if bcs else (), **kw)
-        s.initialize(rho=np.ones(shape, np.float32), u=u0.copy())
+        s.initialize(rho=np.ones(dims, np.float32), u=u0)
         return s
 
     from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM
+
+    def cluster_rows(label, solver_kw, cluster_kw, solid=solid):
+        """Per backend: the 2x2x1 cluster vs the reference at an odd
+        and an even step count; returns ``{backend: kernel rows}``."""
+        ref = make("split", solver_kw, solid=solid)
+        f0 = ref.f.copy()
+        odd_steps = steps - 1
+        ref.step(odd_steps)
+        f_odd = ref.f.copy()
+        ref.step(1)
+        f_even = ref.f.copy()
+        dims = solid.shape
+        sub = (dims[0] // 2, dims[1] // 2, dims[2])
+        out = {}
+        for backend in backends:
+            cfg = ClusterConfig(sub_shape=sub, arrangement=(2, 2, 1),
+                                tau=0.7, solid=solid, backend=backend,
+                                **cluster_kw)
+            with CPUClusterLBM(cfg) as cluster:
+                cluster.load_global_distributions(f0)
+                cluster.step(odd_steps)
+                got_odd = cluster.gather_distributions().copy()
+                cluster.step(1)
+                got_even = cluster.gather_distributions().copy()
+                rows = cluster.kernel_report()
+            assert np.array_equal(got_odd, f_odd), (
+                f"{label}/{backend}: AA cluster diverged at odd step "
+                f"{odd_steps}")
+            assert np.array_equal(got_even, f_even), (
+                f"{label}/{backend}: AA cluster diverged at step {steps}")
+            kinds = {r["kernel"] for r in rows}
+            assert kinds == {"aa"}, (
+                f"{label}/{backend}: expected uniform AA, got {kinds}")
+            out[backend] = rows
+        return out
 
     report: dict = {"occupancy": float(solid.mean()), "cases": {}}
     for case, spec in cases.items():
@@ -559,36 +615,25 @@ def run_aa_equivalence_check(shape=(24, 20, 4), steps: int = 4,
         assert aa._fg_next_buf is None, (
             f"{case}: AA kernel allocated a second buffer")
 
-        ref2 = make("split", spec["solver"])
-        f0 = ref2.f.copy()
-        odd_steps = steps - 1
-        ref2.step(odd_steps)
-        f_odd = ref2.f.copy()
-        ref2.step(1)
-        f_even = ref2.f.copy()
-        sub = (shape[0] // 2, shape[1] // 2, shape[2])
-        case_report: dict = {"backends": {}}
-        for backend in backends:
-            cfg = ClusterConfig(sub_shape=sub, arrangement=(2, 2, 1),
-                                tau=0.7, solid=solid, backend=backend,
-                                kernel="aa", **spec["cluster"])
-            with CPUClusterLBM(cfg) as cluster:
-                cluster.load_global_distributions(f0)
-                cluster.step(odd_steps)
-                got_odd = cluster.gather_distributions().copy()
-                cluster.step(1)
-                got_even = cluster.gather_distributions().copy()
-                rows = cluster.kernel_report()
-            assert np.array_equal(got_odd, f_odd), (
-                f"{case}/{backend}: AA cluster diverged at odd step "
-                f"{odd_steps}")
-            assert np.array_equal(got_even, f_even), (
-                f"{case}/{backend}: AA cluster diverged at step {steps}")
-            kinds = {r["kernel"] for r in rows}
-            assert kinds == {"aa"}, (
-                f"{case}/{backend}: expected uniform AA, got {kinds}")
+        by_backend = cluster_rows(case, spec["solver"],
+                                  {"kernel": "aa", **spec["cluster"]})
+        for rows in by_backend.values():
             for row in rows:
                 row["case"] = case
-            case_report["backends"][backend] = rows
-        report["cases"][case] = case_report
+        report["cases"][case] = {"backends": by_backend}
+
+    # Twice as tall with one ground layer: every rank stays below the
+    # sparse probe floor, so ``kernel="auto"`` may resolve AA.
+    low_rise = voxelize_city(times_square_like(seed=7),
+                             (shape[0], shape[1], 2 * shape[2]),
+                             resolution_m=24.0, ground_layers=1)
+    bounded = cases["bounded"]
+    by_backend = cluster_rows("default", bounded["solver"],
+                              bounded["cluster"], solid=low_rise)
+    for backend, rows in by_backend.items():
+        for row in rows:
+            assert row["reason"].startswith("auto: cluster-wide AA"), (
+                f"default/{backend}: rank {row['rank']} not resolved "
+                f"by auto: {row['reason']!r}")
+    report["default"] = {"backends": by_backend}
     return report

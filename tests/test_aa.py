@@ -232,3 +232,6 @@ def test_gate_runs():
         for row in info["backends"]["serial"]:
             assert row["case"] == case
             assert row["kernel"] == "aa"
+    for row in report["default"]["backends"]["serial"]:
+        assert row["kernel"] == "aa"
+        assert row["reason"].startswith("auto: cluster-wide AA")

@@ -307,7 +307,9 @@ class TestSimMPIMessages:
 
 class TestAnalytics:
     def _tracer(self):
-        tracer, _ = _traced_run("serial", steps=3)
+        # kernel="split" keeps the executed overlap the Fig-9 analytics
+        # measure (AA steps, the "auto" default here, run sequentially).
+        tracer, _ = _traced_run("serial", steps=3, kernel="split")
         return tracer
 
     def test_overlap_rows_bounded(self):
