@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cpu_node import CPUNode, aa_eligible
+from repro.core.cpu_node import CPUNode
 from repro.core.decomposition import (BlockDecomposition, arrange_nodes_2d,
                                       weighted_cuts)
 from repro.core.gpu_node import GPUNode
@@ -154,9 +154,9 @@ class ClusterConfig:
         Hot-path selection for the CPU ranks.  Under the default
         ``"auto"``, :class:`CPUClusterLBM` in numeric mode first takes
         one cluster-wide decision: every rank runs the swap-free AA
-        pipeline when every rank's sub-domain is AA-eligible (plain
-        BGK, inlet/outflow handlers only) and no rank is sparse-worthy
-        (local solid fraction below
+        pipeline (every CPU rank is AA-eligible: plain BGK, inlet and
+        outflow handlers only) when no rank is sparse-worthy (local
+        solid fraction below
         :data:`~repro.lbm.autotune.SPARSE_PROBE_MIN_FRACTION` under
         ``autotune="measured"``, below ``sparse_threshold`` under
         ``"heuristic"``).  AA moves 152 computed bytes per cell against
@@ -376,8 +376,7 @@ class _ClusterLBMBase:
         self.schedule = CommSchedule(self.decomp, self.plan,
                                      wire=config.wire)
         self.switch = config.switch if config.switch is not None else GigabitSwitch()
-        solids = (self.decomp.scatter_field(config.solid)
-                  if config.solid is not None else [None] * self.decomp.n_nodes)
+        solids = self._rank_solids(self.decomp)
         #: The one cluster-wide kernel decision, taken before any node
         #: exists (see :meth:`_resolve_kernel`); every AA-specific path
         #: (exchange mode, parity guards, overlap) reads this, never
@@ -432,8 +431,15 @@ class _ClusterLBMBase:
             return weighted_cuts(cost, config.arrangement, min_extent=2)
         return None
 
+    def _rank_solids(self, decomp: BlockDecomposition) -> list:
+        """Each rank's block of ``config.solid`` (None when all-fluid)."""
+        if self.config.solid is None:
+            return [None] * decomp.n_nodes
+        return decomp.scatter_field(self.config.solid)
+
     def _resolve_kernel(self, solids) -> tuple[str, str | None]:
-        """``(kernel, reason)`` every rank is built with.
+        """``(kernel, reason)`` every rank is built with, given the
+        per-rank solid blocks.
 
         The base rule forwards ``config.kernel`` unchanged (``reason``
         None: each rank's solver explains its own selection);
@@ -465,7 +471,6 @@ class _ClusterLBMBase:
             "gpu_spec": cfg.gpu_spec,
             "bus": cfg.bus,
             "kernel": self.kernel,
-            "kernel_reason": self._kernel_reason,
             "sparse_threshold": cfg.sparse_threshold,
             "autotune": cfg.autotune,
             "wire": cfg.wire,
@@ -493,11 +498,22 @@ class _ClusterLBMBase:
                  "kernel": getattr(node, "kernel_used", "n/a"),
                  "layout": getattr(node, "kernel_layout", "soa"),
                  "solid_fraction": float(getattr(node, "solid_fraction", 0.0)),
-                 "reason": getattr(node, "kernel_reason", None),
+                 "reason": self._rank_reason(node),
                  "rates": getattr(node, "kernel_rates", None),
                  "block": self.decomp.block_shape(i),
                  "cells": self.decomp.blocks[i].cells}
                 for i, node in enumerate(self.nodes)]
+
+    def _rank_reason(self, node) -> str | None:
+        """The driver's cluster-wide resolution when it took one (then
+        the solver's own reason only adds a layout probe run on top),
+        else the rank solver's reason."""
+        reason = getattr(node, "kernel_reason", None)
+        if self._kernel_reason is None:
+            return reason
+        if getattr(node, "kernel_rates", None) is None:
+            return self._kernel_reason
+        return f"{self._kernel_reason}; {reason}"
 
     def balance_report(self) -> dict:
         """Chosen cuts plus predicted vs measured per-rank cost.
@@ -576,9 +592,11 @@ class _ClusterLBMBase:
         shut this driver down.  Returns ``(driver, info)`` where
         ``driver`` is ``self`` when the cuts are already optimal.
         ``info`` records old/new cuts and the measured imbalance that
-        drove the decision.  Under the AA kernel (forced, or resolved
-        from ``"auto"``) only even step parities can rebalance
-        (canonical layout requirement).
+        drove the decision.  Only even step parities can rebalance
+        when this driver or its successor runs the AA kernel (forced,
+        or resolved from ``"auto"`` — the successor resolves afresh
+        for its new cuts): AA ranks load canonical distributions only
+        at even parity.
         """
         from dataclasses import replace
 
@@ -601,6 +619,18 @@ class _ClusterLBMBase:
         }
         if not info["changed"]:
             return self, info
+        if self.time_step & 1:
+            cfg = self.config
+            successor_decomp = BlockDecomposition(
+                cfg.global_shape, cfg.arrangement, periodic=cfg.periodic,
+                cuts=new_cuts)
+            kernel, _ = self._resolve_kernel(
+                self._rank_solids(successor_decomp))
+            if kernel == "aa":
+                raise ValueError(
+                    "cannot rebalance at odd AA parity: the new cuts "
+                    "resolve the AA kernel; step to an even step count "
+                    "first")
         f = self.gather_distributions()
         time_step = self.time_step
         traced = self.tracer.enabled
@@ -1214,21 +1244,19 @@ class CPUClusterLBM(_ClusterLBMBase):
         """Resolve ``kernel="auto"`` to AA cluster-wide when it is safe.
 
         In numeric mode, ``"auto"`` becomes ``"aa"`` on *every* rank
-        when every rank's configuration passes
-        :meth:`~repro.lbm.aa.AAStepKernel.eligible` and no rank is
-        sparse-worthy — i.e. per-rank selection could not pick the
-        sparse kernel for it: local solid fraction below
+        when no rank is sparse-worthy — i.e. per-rank selection could
+        not pick the sparse kernel for it: local solid fraction below
         :data:`~repro.lbm.autotune.SPARSE_PROBE_MIN_FRACTION` under
         ``autotune="measured"``, below ``sparse_threshold`` under
-        ``"heuristic"``.  AA moves half the computed bytes per cell of
-        the phase-split path and the decision needs no probe.
-        Otherwise every rank keeps its own per-rank selection.
+        ``"heuristic"``.  Every CPU rank is AA-eligible (plain BGK with
+        at most the inlet and outflow handlers, which the AA kernel
+        supports; :class:`CPUNode` raises should an AA rank ever not
+        be).  AA moves half the computed bytes per cell of the
+        phase-split path and the decision needs no probe.  Otherwise
+        every rank keeps its own per-rank selection.
         """
         cfg = self.config
         if cfg.kernel != "auto" or cfg.timing_only:
-            return cfg.kernel, None
-        if not all(aa_eligible(**self._node_boundary_config(rank))
-                   for rank in range(self.decomp.n_nodes)):
             return cfg.kernel, None
         if cfg.autotune == "measured":
             from repro.lbm.autotune import SPARSE_PROBE_MIN_FRACTION
@@ -1257,8 +1285,7 @@ class CPUClusterLBM(_ClusterLBMBase):
                        kernel=self.kernel,
                        sparse_threshold=self.config.sparse_threshold,
                        autotune=self.config.autotune,
-                       layout=self.config.layout,
-                       kernel_reason=self._kernel_reason)
+                       layout=self.config.layout)
 
     def _node_distributions(self, node) -> np.ndarray:
         return node.solver.f.copy()

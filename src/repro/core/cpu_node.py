@@ -22,40 +22,10 @@ from repro.gpu.specs import XEON_2_4, CPUSpec
 from repro.perf import calibration as cal
 
 
-def rank_boundaries(inlet=None, outflow=None) -> list:
-    """The boundary handlers a CPU rank's solver is built with."""
-    from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
-    from repro.lbm.lattice import D3Q19
-    bcs = []
-    if inlet is not None:
-        axis, side, velocity, rho = inlet
-        bcs.append(EquilibriumVelocityInlet(D3Q19, axis, side, velocity, rho))
-    if outflow is not None:
-        bcs.append(OutflowBoundary(D3Q19, *outflow))
-    return bcs
-
-
-def aa_eligible(inlet=None, outflow=None) -> bool:
-    """Whether a CPU rank with these global BCs can run the AA kernel.
-
-    CPU ranks always collide with plain BGK, so this is
-    :meth:`repro.lbm.aa.AAStepKernel.eligible` evaluated on the rank's
-    configuration before its solver is built.
-    """
-    from repro.lbm.aa import AAStepKernel
-    from repro.lbm.collision import BGKCollision
-    return AAStepKernel.supports(BGKCollision,
-                                 rank_boundaries(inlet, outflow))
-
-
 class CPUNode:
     """One sub-domain computed in software on a host CPU.
 
     Parameters mirror :class:`~repro.core.gpu_node.GPUNode`; see there.
-    ``kernel_reason`` records why the cluster driver resolved
-    ``kernel`` for this rank (e.g. ``kernel="auto"`` resolving AA
-    cluster-wide); it replaces the solver's "forced" wording in
-    :attr:`kernel_reason`.
     """
 
     def __init__(self, rank: int, sub_shape, tau: float, solid=None,
@@ -63,8 +33,7 @@ class CPUNode:
                  cpu_spec: CPUSpec = XEON_2_4, inlet=None, outflow=None,
                  force=None, use_sse: bool = False, kernel: str = "auto",
                  sparse_threshold: float = 0.5,
-                 autotune: str = "heuristic", layout: str = "soa",
-                 kernel_reason: str | None = None) -> None:
+                 autotune: str = "heuristic", layout: str = "soa") -> None:
         self.rank = rank
         self.sub_shape = tuple(int(s) for s in sub_shape)
         self.tau = float(tau)
@@ -74,13 +43,19 @@ class CPUNode:
         self.cpu_spec = cpu_spec
         self.use_sse = bool(use_sse)
         self._boundaries = []
-        self._resolved_reason = kernel_reason
         if timing_only:
             self.solver = None
         else:
+            from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
+            from repro.lbm.lattice import D3Q19
+            bcs = []
+            if inlet is not None:
+                axis, side, velocity, rho = inlet
+                bcs.append(EquilibriumVelocityInlet(D3Q19, axis, side, velocity, rho))
+            if outflow is not None:
+                bcs.append(OutflowBoundary(D3Q19, *outflow))
             self.solver = LBMSolver(self.sub_shape, tau, solid=solid,
-                                    boundaries=rank_boundaries(inlet, outflow),
-                                    force=force, periodic=False,
+                                    boundaries=bcs, force=force, periodic=False,
                                     kernel=kernel,
                                     sparse_threshold=sparse_threshold,
                                     autotune=autotune, layout=layout)
@@ -126,15 +101,7 @@ class CPUNode:
     @property
     def kernel_reason(self) -> str | None:
         """Why the hot path was selected (heuristic vs measured probe)."""
-        if self.solver is None:
-            return None
-        reason = self.solver.kernel_reason
-        if self._resolved_reason is None or reason is None:
-            return reason
-        if reason == f"forced kernel={self.solver.kernel!r}":
-            return self._resolved_reason
-        # A layout probe ran on top of the resolved kernel.
-        return f"{self._resolved_reason}; {reason}"
+        return None if self.solver is None else self.solver.kernel_reason
 
     @property
     def kernel_rates(self) -> dict | None:

@@ -96,7 +96,6 @@ class WorkerSpec:
     barrier_timeout_s: float
     q: int = 19
     kernel: str = "auto"                # per-rank hot-path selection
-    kernel_reason: str | None = None    # why the driver resolved ``kernel``
     sparse_threshold: float = 0.5
     autotune: str = "heuristic"         # "heuristic" | "measured"
     wire: str = "merged"                # halo wire: "merged" | "perface"
@@ -143,8 +142,7 @@ def _build_node(spec: WorkerSpec):
                    inlet=spec.inlet, outflow=spec.outflow, force=spec.force,
                    kernel=spec.kernel,
                    sparse_threshold=spec.sparse_threshold,
-                   autotune=spec.autotune, layout=spec.layout,
-                   kernel_reason=spec.kernel_reason)
+                   autotune=spec.autotune, layout=spec.layout)
 
 
 class _Worker:

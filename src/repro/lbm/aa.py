@@ -22,10 +22,9 @@ a single array:
 Correctness hinges on a *location-ownership* property: in the odd
 phase, location ``(i, y)`` is read **and** written only by the site
 ``y - c_i``.  A site's read set equals its write set, so any region
-decomposition (boundary shell / inner core, slabs) is hazard-free in
-any execution order — which is exactly what lets the cluster drivers
-keep the Sec-4.4 communication/computation overlap, and what lets this
-kernel cache-block: whole-domain phases sweep the grid in axis-0 slabs
+decomposition is hazard-free in any execution order — which is what
+lets this kernel cache-block: whole-domain phases sweep the grid in
+axis-0 slabs
 (:data:`SLAB_TARGET_CELLS`) so the ~10 scratch passes per link run on
 slabs that stay cache-resident instead of round-tripping to memory —
 the single-array layout means the hot set per slab is one distribution
@@ -176,23 +175,11 @@ class AAStepKernel:
         this kernel (fill/fold, periodic or zero-gradient) or by a
         cluster driver (``aa_halo_managed``).
         """
-        return AAStepKernel.supports(type(solver.collision),
-                                     solver.boundaries)
-
-    @staticmethod
-    def supports(collision_cls: type, boundaries) -> bool:
-        """:meth:`eligible` on a configuration, before any solver exists.
-
-        ``collision_cls`` is the collision operator's class and
-        ``boundaries`` the handler list the solver would be built with;
-        the cluster drivers use this to resolve one kernel for every
-        rank before constructing a single node.
-        """
         from repro.lbm.collision import BGKCollision
         from repro.lbm.esoteric import boundaries_supported
-        if collision_cls is not BGKCollision:
+        if type(solver.collision) is not BGKCollision:
             return False
-        return boundaries_supported(boundaries)
+        return boundaries_supported(solver.boundaries)
 
     # -- region plumbing -------------------------------------------------
     @staticmethod
@@ -242,19 +229,14 @@ class AAStepKernel:
         return out
 
     # -- the two phases --------------------------------------------------
-    def even_phase(self, region=None) -> None:
+    def even_phase(self) -> None:
         """In-place collide with reversed-direction writes.
 
-        ``region`` is an interior-coordinate slab (concrete bounds, as
-        produced by ``shell_partition``) or ``None`` for the whole
-        padded array, swept in cache-blocked axis-0 slabs — processing
-        the ghost shell too is harmless (its rotated contents are
-        overwritten by the subsequent fill or halo exchange) and keeps
-        slab views contiguous.
+        Sweeps the whole padded array in cache-blocked axis-0 slabs —
+        processing the ghost shell too is harmless (its rotated
+        contents are overwritten by the subsequent fill or halo
+        exchange) and keeps slab views contiguous.
         """
-        if region is not None:
-            self._even_region(self._padded_region(region))
-            return
         n0 = self.solver.fg.shape[1]
         rest = self._pfull[1:]
         for a in range(0, n0, self._slab):
@@ -303,21 +285,17 @@ class AAStepKernel:
                 np.copyto(gr, fgr, where=solid)
             fgr[...] = gr
 
-    def odd_phase(self, region=None) -> None:
+    def odd_phase(self) -> None:
         """Gather-collide-scatter; restores the canonical layout.
 
-        ``region`` is an interior-coordinate slab (concrete bounds) or
-        ``None`` for the whole interior, swept in cache-blocked axis-0
-        slabs.  Reads the rotated layout (ghosts must hold the
-        post-even-phase fill/exchange), scatters relaxed populations of
-        *fluid* sites forward; locations owned by solid sites are left
-        untouched (they already hold the bounced populations, see the
-        module docstring).  Region splits are hazard-free: a region
-        reads and writes exactly the locations its own sites own.
+        Sweeps the whole interior in cache-blocked axis-0 slabs.  Reads
+        the rotated layout (ghosts must hold the post-even-phase
+        fill/exchange), scatters relaxed populations of *fluid* sites
+        forward; locations owned by solid sites are left untouched
+        (they already hold the bounced populations, see the module
+        docstring).  Slab splits are hazard-free: a slab reads and
+        writes exactly the locations its own sites own.
         """
-        if region is not None:
-            self._odd_region(tuple(region))
-            return
         n0 = self.solver.shape[0]
         rest = self._ifull[1:]
         for a in range(0, n0, self._slab):
@@ -436,22 +414,22 @@ class AAStepKernel:
         if even:
             if live:
                 with rec.phase("aa.even"):
-                    self.even_phase(None)
+                    self.even_phase()
                 with rec.phase("aa.ghosts"):
                     self.fill_ghosts()
             else:
-                self.even_phase(None)
+                self.even_phase()
                 self.fill_ghosts()
             s._bounce_folded = True
             s._aa_rotated = True
         else:
             if live:
                 with rec.phase("aa.odd"):
-                    self.odd_phase(None)
+                    self.odd_phase()
                 with rec.phase("aa.fold"):
                     self.fold_ghosts()
             else:
-                self.odd_phase(None)
+                self.odd_phase()
                 self.fold_ghosts()
             s._bounce_folded = False
             s._aa_rotated = False

@@ -405,9 +405,9 @@ class LBMSolver:
             with self.tracer.span("solver.collide", step=self.time_step,
                                   kernel="aa"):
                 if self._aa_even():
-                    akern.even_phase(None)
+                    akern.even_phase()
                 else:
-                    akern.odd_phase(None)
+                    akern.odd_phase()
             return
         kern = self._sparse_kernel_for_phase()
         kind = "sparse" if kern is not None else "split"
@@ -439,6 +439,11 @@ class LBMSolver:
             return
         self.collision(view, mask=self.fluid[region])
 
+    def _no_aa_split(self) -> None:
+        if self._select_kernel() == "aa":
+            raise RuntimeError("the AA kernel has no shell/core split "
+                               "collide; step it with collide()")
+
     def collide_boundary(self) -> None:
         """Collide only the depth-1 boundary shell of the domain.
 
@@ -447,24 +452,10 @@ class LBMSolver:
         as disjoint slabs preserves every per-site operation.  The
         cluster drivers run this first so border layers are ready for
         the halo exchange while the inner core is still colliding
-        (the paper's Sec-4.4 communication/computation overlap).
+        (the paper's Sec-4.4 communication/computation overlap).  The
+        AA kernel has no shell/core split: its steps run :meth:`collide`.
         """
-        akern = self._aa_kernel_for_phase()
-        if akern is not None:
-            # AA phases are location-owned (a region reads and writes
-            # exactly the slots its own sites own), so the shell/core
-            # split stays hazard-free in either parity and the comm
-            # overlap works unchanged.
-            self.kernel_used = "aa"
-            even = self._aa_even()
-            with self.tracer.span("solver.collide_boundary",
-                                  step=self.time_step, kernel="aa"):
-                for sl in self._split_parts()[0]:
-                    if even:
-                        akern.even_phase(sl)
-                    else:
-                        akern.odd_phase(sl)
-            return
+        self._no_aa_split()
         kern = self._sparse_kernel_for_phase()
         kind = "sparse" if kern is not None else "split"
         with self.tracer.span("solver.collide_boundary",
@@ -479,16 +470,7 @@ class LBMSolver:
 
     def collide_inner(self) -> None:
         """Collide the inner core (everything the shell excludes)."""
-        akern = self._aa_kernel_for_phase()
-        if akern is not None:
-            even = self._aa_even()
-            with self.tracer.span("solver.collide_inner",
-                                  step=self.time_step, kernel="aa"):
-                if even:
-                    akern.even_phase(self._split_parts()[1])
-                else:
-                    akern.odd_phase(self._split_parts()[1])
-            return
+        self._no_aa_split()
         kern = self._sparse_kernel_for_phase()
         kind = "sparse" if kern is not None else "split"
         with self.tracer.span("solver.collide_inner",

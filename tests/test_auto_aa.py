@@ -17,13 +17,9 @@ import numpy as np
 import pytest
 
 from repro.core.cluster_lbm import ClusterConfig, CPUClusterLBM, GPUClusterLBM
-from repro.core.cpu_node import aa_eligible
-from repro.lbm import AAStepKernel, LBMSolver
-from repro.lbm.boundaries import (Boundary, EquilibriumVelocityInlet,
-                                  OutflowBoundary)
-from repro.lbm.collision import BGKCollision
+from repro.lbm import LBMSolver
+from repro.lbm.boundaries import EquilibriumVelocityInlet, OutflowBoundary
 from repro.lbm.lattice import D3Q19
-from repro.lbm.mrt import MRTCollision
 
 SHAPE = (16, 12, 8)
 ARR = (2, 2, 1)
@@ -114,6 +110,16 @@ class TestKernelReason:
                 f"solid fraction {peak:.3f} < sparse probe floor 0.25)")
             assert row["rates"] is None      # no probe was run
 
+    def test_layout_probe_reason_follows_the_resolution(self):
+        with CPUClusterLBM(_config(layout="auto")) as cluster:
+            cluster.step(1)
+            rows = cluster.kernel_report()
+        for row in rows:
+            assert row["rates"] is not None
+            head, probe = row["reason"].split("; ", 1)
+            assert head.startswith("auto: cluster-wide AA")
+            assert probe.startswith("measured:")
+
     def test_forced_aa_keeps_forced_reason(self):
         with CPUClusterLBM(_config(kernel="aa")) as cluster:
             cluster.step(1)
@@ -151,6 +157,40 @@ class TestParityGuards:
             ref.step(1)
             assert np.array_equal(cluster.gather_distributions(), ref.f)
             cluster.load_global_distributions(f0)   # even: allowed again
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_rebalance_into_aa_needs_even_parity(self, backend):
+        # Rank 0 is half solid, so the uniform-cut driver keeps per-rank
+        # selection; the new cuts dilute it below the threshold, so the
+        # successor resolves AA and could not load an odd-parity state.
+        solid = np.zeros(SHAPE, bool)
+        solid[:SUB[0], :SUB[1], :SUB[2] // 2] = True
+        new_cuts = ((12, 4), (9, 3), (8,))
+        ref = _reference({"solid": solid, "periodic": True})
+        cfg = _config(backend, solid=solid, autotune="heuristic",
+                      sparse_threshold=0.4)
+        busy = {r: 1.0 for r in range(4)}
+        cluster = CPUClusterLBM(cfg)
+        try:
+            assert cluster.kernel == "auto"
+            cluster.rebalance_cuts = lambda busy_s=None: new_cuts
+            cluster.load_global_distributions(ref.f.copy())
+            cluster.step(1)
+            ref.step(1)
+            with pytest.raises(ValueError, match="odd AA parity"):
+                cluster.rebalance(busy_s=busy)
+            cluster.step(1)
+            ref.step(1)
+            successor, info = cluster.rebalance(busy_s=busy)
+            cluster = successor
+            assert info["changed"] and cluster.kernel == "aa"
+            for step in range(3):            # both parities after the move
+                cluster.step(1)
+                ref.step(1)
+                assert np.array_equal(cluster.gather_distributions(),
+                                      ref.f), f"diverged at step {step}"
+        finally:
+            cluster.shutdown()
 
 
 class TestOverlapSkipped:
@@ -227,22 +267,3 @@ class TestControls:
             assert cluster.kernel == "auto"
             cluster.step(1)
 
-
-class TestEligibilityPredicate:
-    def test_config_level_predicate(self):
-        assert AAStepKernel.supports(BGKCollision, [])
-        assert not AAStepKernel.supports(MRTCollision, [])
-
-        class Custom(Boundary):
-            pass
-
-        assert not AAStepKernel.supports(BGKCollision, [Custom()])
-
-    def test_matches_solver_eligibility(self):
-        solver = LBMSolver(SHAPE, tau=0.7, periodic=False,
-                           boundaries=[EquilibriumVelocityInlet(D3Q19, *INLET),
-                                       OutflowBoundary(D3Q19, *OUTFLOW)])
-        assert AAStepKernel.eligible(solver)
-        assert aa_eligible(INLET, OUTFLOW)
-        mrt = LBMSolver(SHAPE, tau=0.7, collision="mrt")
-        assert not AAStepKernel.eligible(mrt)
